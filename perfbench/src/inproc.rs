@@ -1,11 +1,8 @@
-//! Load generation for in-process targets: a closed loop (one caller,
-//! back to back) and a single-server open loop (operations are due on a
-//! constant-rate schedule; each starts when due or when the previous one
-//! finishes, and its latency counts from the due time).
+//! Load generation for in-process targets: a closed loop, one caller
+//! running operations back to back.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crate::inputs::constant_rate;
 use crate::stats::{median, Samples, WINDOW};
 
 /// One measured phase.
@@ -13,23 +10,17 @@ use crate::stats::{median, Samples, WINDOW};
 pub struct Phase {
     pub samples: Samples,
     pub ops: u64,
-    pub elapsed_s: f64,
     /// Percentile window: whole units of the closed loop, so that every
     /// window holds the same mix of operations.
     window: usize,
-    /// Closed loop: operations per second of each unit.
+    /// Operations per second of each unit.
     unit_rates: Vec<f64>,
 }
 
 impl Phase {
-    /// Median over units of operations per second (closed loop), or the
-    /// mean rate (open loop).
+    /// Median over units of operations per second.
     pub fn ops_per_s(&self) -> f64 {
-        if self.unit_rates.is_empty() {
-            self.ops as f64 / self.elapsed_s
-        } else {
-            median(&self.unit_rates)
-        }
+        median(&self.unit_rates)
     }
 
     pub fn p50(&self) -> Option<f64> {
@@ -74,98 +65,9 @@ pub fn closed(
             break;
         }
     }
-    phase.elapsed_s = start.elapsed().as_secs_f64();
+    println!(
+        "closed loop: {} per-call samples, percentiles per window of {} calls",
+        phase.ops, phase.window
+    );
     phase
-}
-
-/// Open loop over a precomputed schedule of due offsets (seconds).
-pub fn open(schedule: &[f64], next: &mut u64, op: &mut dyn FnMut(u64)) -> Phase {
-    let mut phase = Phase::default();
-    let start = Instant::now();
-    for &due_s in schedule {
-        let due = start + Duration::from_secs_f64(due_s);
-        wait_until(due);
-        op(*next);
-
-        *next += 1;
-        phase.ops += 1;
-        phase.samples.push(
-            due_s,
-            Instant::now().saturating_duration_since(due).as_secs_f64() * 1e3,
-        );
-    }
-    phase.elapsed_s = start.elapsed().as_secs_f64();
-    phase
-}
-
-/// Paced calls: `calls` calls, call `k` starting at `k / rate` seconds, or
-/// as soon as the previous call ends if that is later; its latency is its
-/// own duration, so no queueing is counted. This is a light, occasional
-/// caller. Percentiles are taken per `window` calls.
-pub fn paced(
-    rate: f64,
-    calls: usize,
-    window: usize,
-    next: &mut u64,
-    op: &mut dyn FnMut(u64),
-) -> Phase {
-    let mut phase = Phase {
-        window,
-        ..Phase::default()
-    };
-    let start = Instant::now();
-    for due_s in (0..calls).map(|k| k as f64 / rate) {
-        wait_until(start + Duration::from_secs_f64(due_s));
-        let t = Instant::now();
-        op(*next);
-        phase.samples.push(due_s, t.elapsed().as_secs_f64() * 1e3);
-        *next += 1;
-        phase.ops += 1;
-    }
-    phase.elapsed_s = start.elapsed().as_secs_f64();
-    phase
-}
-
-/// Sleeps to within 200 µs of `due`, then spins (the target runs on this
-/// thread, so spinning steals no time from it).
-fn wait_until(due: Instant) {
-    loop {
-        let now = Instant::now();
-        if now >= due {
-            return;
-        }
-        let left = due - now;
-        if left > Duration::from_micros(300) {
-            std::thread::sleep(left - Duration::from_micros(200));
-        } else {
-            std::hint::spin_loop();
-        }
-    }
-}
-
-/// Walks the ascending `rates`, `rung_s` seconds each, and stops at the
-/// first rung whose p99 exceeds `limit_ms` in two attempts (a backlog that
-/// grows past the limit within the rung fails its p99). Returns the
-/// highest passing rate (0 when none passes).
-pub fn ladder(
-    rates: &[f64],
-    rung_s: f64,
-    limit_ms: f64,
-    next: &mut u64,
-    op: &mut dyn FnMut(u64),
-) -> f64 {
-    let mut best = 0.0;
-    for &rate in rates {
-        let pass = (0..2).any(|_| {
-            let phase = open(&constant_rate(rate, rung_s), next, op);
-            let p99 = phase.samples.p99_unguarded().unwrap_or(f64::INFINITY);
-            println!("ladder {rate:>7.1} /s  p99 {p99:>9.3} ms");
-            p99 <= limit_ms
-        });
-        if !pass {
-            break;
-        }
-        best = rate;
-    }
-    best
 }

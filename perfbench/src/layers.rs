@@ -150,7 +150,7 @@ fn ledger_json(seed: u64) -> (String, macro_paper::Ledger, (u64, u64, u64, f64))
 
 pub fn traced_run(ctx: &Ctx, out: &mut Outcome) {
     let started = Instant::now();
-    let mut tr = Tracer::new(true);
+    let mut tr = Tracer::new();
     let ov = match ctx.workload.as_str() {
         "macro-paper" => macro_paper::overhead(ctx, &mut tr),
         "zoo-offline" => zoo::overhead(ctx, &mut tr),
@@ -186,7 +186,6 @@ pub fn traced_run(ctx: &Ctx, out: &mut Outcome) {
     out.metric("ledger.zoo.micro_joules", z.3, "uJ");
     out.metric("trace.overhead.ops_per_s", 1.0 - ov[1] / ov[0], "share");
     out.metric("trace.overhead.p50_ms", ov[3] - ov[2], "ms");
-    out.attempted += 1;
 
     let mut header = String::new();
     let _ = write!(

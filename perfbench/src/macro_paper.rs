@@ -14,9 +14,9 @@ use afpr_xbar::{CimMacro, MacroMode, MacroSpec};
 use crate::inproc;
 use crate::inputs::{heavy_tailed, rng, shuffle, uniform};
 use crate::report::Outcome;
-use crate::stats::{peak_rss_mb, same_bits, Accuracy, WINDOW};
+use crate::stats::{peak_rss_mb, same_bits, Accuracy};
 use crate::trace::Tracer;
-use crate::{offline_latency_metrics, timed_setups, Ctx};
+use crate::{timed_setups, Ctx};
 
 const ROWS: usize = 576;
 const COLS: usize = 256;
@@ -27,16 +27,6 @@ const AGE_STEP_S: f64 = 60.0;
 /// Calls of the deterministic probe pass that feeds the oracle, the
 /// simulated metrics and the ledger.
 const PROBE_CALLS: u64 = 1024;
-/// Light pacing and open-loop ladder rates (calls/s), fixed from the
-/// closed-loop capacity measured when the benchmark was defined (~2.0k
-/// calls/s on 2 vCPUs).
-pub const LIGHT_RPS: f64 = 400.0;
-pub const LADDER_RPS: [f64; 10] = [
-    400.0, 800.0, 1200.0, 1400.0, 1600.0, 1800.0, 2000.0, 2200.0, 2400.0, 2600.0,
-];
-/// p99 limit of the rate ladder.
-pub const SLO_MS: f64 = 25.0;
-
 /// The seeded inputs: weights, input pool and call order.
 pub struct Inputs {
     weights: Vec<f32>,
@@ -181,26 +171,9 @@ pub fn run(ctx: &Ctx, out: &mut Outcome) {
             bad += 1;
         }
     };
-    let closed = inproc::closed(0.4 * ctx.seconds, 1100, AGE_EVERY, &mut next, &mut |i| {
+    let closed = inproc::closed(ctx.seconds, 1100, AGE_EVERY, &mut next, &mut |i| {
         check(call(&mut mac, &inputs, i))
     });
-    // The paced caller skips the age steps: its tail shows warm-kernel
-    // reads after idle gaps, while rebuilds land in the closed-loop p99.
-    let window = WINDOW.div_ceil(AGE_EVERY as usize) * AGE_EVERY as usize;
-    let light = inproc::paced(
-        LIGHT_RPS,
-        light_calls(ctx, window),
-        window,
-        &mut next,
-        &mut |i| check(mac.matvec(inputs.input(i))),
-    );
-    let slo = inproc::ladder(
-        &LADDER_RPS,
-        0.03 * ctx.seconds,
-        SLO_MS,
-        &mut next,
-        &mut |i| check(call(&mut mac, &inputs, i)),
-    );
     out.attempted += next - PROBE_CALLS;
     out.failed += bad;
     if bad > 0 {
@@ -212,17 +185,13 @@ pub fn run(ctx: &Ctx, out: &mut Outcome) {
     out.metric("setup_s", setup_s, "s");
     out.metric("rss_mb", peak_rss_mb(), "MB");
     out.metric("ops_per_s", closed.ops_per_s(), "1/s");
-    offline_latency_metrics(out, &closed, &light, slo);
+    out.metric("p50_ms", closed.p50().unwrap_or(f64::NAN), "ms");
+    out.metric("p99_ms", closed.p99().unwrap_or(f64::NAN), "ms");
     let tops_per_w = ledger.ops as f64 / ledger.joules / 1e12;
     println!("sim_tops_per_w {tops_per_w:.3} TOPS/W (paper anchor: 19.89 TOPS/W)");
     out.metric("sim_tops_per_w", tops_per_w, "TOPS/W");
     out.metric("sim_sqnr_db", acc.sqnr_db(), "dB");
     out.metric("sim_top1_agree", acc.top1(), "share");
-}
-
-/// Whole windows of paced calls filling about a fifth of the run.
-fn light_calls(ctx: &Ctx, window: usize) -> usize {
-    ((0.2 * ctx.seconds * LIGHT_RPS) as usize / window).max(1) * window
 }
 
 /// Per-layer probe of the macro's stages: the probe pass replayed stage by
@@ -317,9 +286,10 @@ pub fn layer_probe(seed: u64, tr: &mut Tracer, out: &mut Outcome) {
     out.metric("fp_dac.us_per_vec", tr.mean_us("fp_dac"), "us");
     out.metric("kernel.us_per_pass", tr.mean_us("kernel"), "us");
     out.metric("kernel.passes_per_op", passes as f64 / calls, "count");
+    let rebuild_spans = tr.count("kernel.rebuild") as f64;
     out.metric(
         "kernel.us_per_rebuild",
-        tr.mean_us("kernel.rebuild") / 2.0,
+        tr.mean_us("kernel.rebuild") * rebuild_spans / rebuilds as f64,
         "us",
     );
     out.metric("kernel.rebuilds", rebuilds as f64, "count");
@@ -345,9 +315,13 @@ pub fn layer_probe(seed: u64, tr: &mut Tracer, out: &mut Outcome) {
         1.0 - stages / matvec_us,
         "share",
     );
-    println!(
-        "macro replay: {replay_mismatch} of {PROBE_CALLS} calls differ from matvec_digital_fp"
-    );
+    out.attempted += PROBE_CALLS;
+    if replay_mismatch > 0 {
+        out.failed += replay_mismatch;
+        out.error(format!(
+            "macro replay: {replay_mismatch} of {PROBE_CALLS} calls differ from matvec_digital_fp"
+        ));
+    }
 }
 
 /// The probe-pass ledger of `seed`, for the ledger report.

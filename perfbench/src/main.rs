@@ -78,30 +78,15 @@ fn parse_args() -> Result<Ctx, String> {
     })
 }
 
-/// Latency metrics of an offline workload: per call from the closed loop,
-/// light-rate from the open loop, and the ladder's highest passing rate.
-pub fn offline_latency_metrics(
-    out: &mut Outcome,
-    closed: &inproc::Phase,
-    light: &inproc::Phase,
-    slo: f64,
-) {
-    let nan = f64::NAN;
-    out.metric("p50_ms", closed.p50().unwrap_or(nan), "ms");
-    out.metric("p99_ms", closed.p99().unwrap_or(nan), "ms");
-    out.metric("p50_ms.light", light.p50().unwrap_or(nan), "ms");
-    out.metric("p99_ms.light", light.p99().unwrap_or(nan), "ms");
-    out.metric("slo_rps", slo, "req/s");
-}
-
-/// Runs the timed set-up at least five times and until half a second has
-/// passed (at most 41 times), discarding all but the last instance.
-/// Returns the median set-up time and the last instance.
+/// Runs the timed set-up at least five times and until two seconds have
+/// passed (at most 101 times), discarding all but the last instance, so
+/// that the median spans the host's short swings in speed. Returns the
+/// median set-up time and the last instance.
 pub fn timed_setups<T>(mut build: impl FnMut() -> T, mut discard: impl FnMut(T)) -> (f64, T) {
     let start = Instant::now();
     let mut times = Vec::new();
     let mut last = None;
-    while times.len() < 5 || (start.elapsed().as_secs_f64() < 0.5 && times.len() < 41) {
+    while times.len() < 5 || (start.elapsed().as_secs_f64() < 2.0 && times.len() < 101) {
         if let Some(prev) = last.take() {
             discard(prev);
         }

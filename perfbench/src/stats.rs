@@ -1,5 +1,5 @@
 //! Sample statistics: exact percentiles from raw sorted samples, their
-//! lowest value over windows, medians, and the peak resident set.
+//! median over windows, medians, and the peak resident set.
 
 /// Samples per window of a windowed percentile: at least ten lie beyond
 /// each window's p99.
@@ -21,10 +21,6 @@ impl Samples {
         self.pts.extend_from_slice(&other.pts);
     }
 
-    pub fn len(&self) -> usize {
-        self.pts.len()
-    }
-
     fn sorted_ms(pts: &[(f64, f64)]) -> Vec<f64> {
         let mut v: Vec<f64> = pts.iter().map(|p| p.1).collect();
         v.sort_by(f64::total_cmp);
@@ -38,10 +34,12 @@ impl Samples {
 
     /// The percentile computed per window of `window` consecutive samples
     /// (in time order; the remainder joins the last window), reported as
-    /// the lowest window value: a min-of-N estimate, so that a host stall
-    /// that disturbs some windows does not move it. With fewer than
-    /// `window` samples this is the plain percentile. `None` when a p99
-    /// would have fewer than ten samples beyond it.
+    /// the median over windows, so that a host stall confined to a few
+    /// windows does not move it while one that lasts half the phase does.
+    /// A failed operation is a +∞ sample: a window with more than 1 % of
+    /// them has an infinite p99. With fewer than `window` samples this is
+    /// the plain percentile. `None` when a p99 would have fewer than ten
+    /// samples beyond it.
     pub fn windowed(&self, q: f64, window: usize) -> Option<f64> {
         let window = window.max(WINDOW);
         if q > 0.5 && (self.pts.len() as f64 * (1.0 - q)) < 10.0 {
@@ -61,7 +59,7 @@ impl Samples {
                 quantile_sorted(&Self::sorted_ms(&pts[w * per..end]), q)
             })
             .collect();
-        values.into_iter().min_by(f64::total_cmp)
+        (!values.is_empty()).then(|| median(&values))
     }
 
     pub fn p50(&self) -> Option<f64> {

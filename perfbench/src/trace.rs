@@ -18,19 +18,17 @@ pub struct Span {
     pub request: u64,
 }
 
-/// Span recorder. A disabled tracer records nothing and costs one branch.
+/// Span recorder.
 pub struct Tracer {
     epoch: Instant,
-    enabled: bool,
     spans: Vec<Span>,
     open: Vec<usize>,
 }
 
 impl Tracer {
-    pub fn new(enabled: bool) -> Self {
+    pub fn new() -> Self {
         Self {
             epoch: Instant::now(),
-            enabled,
             spans: Vec::new(),
             open: Vec::new(),
         }
@@ -42,9 +40,6 @@ impl Tracer {
 
     /// Opens a span under the innermost open span.
     pub fn enter(&mut self, name: &'static str, request: u64) {
-        if !self.enabled {
-            return;
-        }
         let start_ns = self.now_ns();
         self.spans.push(Span {
             name,
@@ -58,18 +53,12 @@ impl Tracer {
 
     /// Closes the innermost open span.
     pub fn exit(&mut self) {
-        if !self.enabled {
-            return;
-        }
         let idx = self.open.pop().expect("exit without enter");
         self.spans[idx].end_ns = self.now_ns();
     }
 
     /// Records a span measured elsewhere (another thread), as a root.
     pub fn record(&mut self, name: &'static str, start: Instant, end: Instant, request: u64) {
-        if !self.enabled {
-            return;
-        }
         let at = |t: Instant| t.saturating_duration_since(self.epoch).as_nanos() as u64;
         self.spans.push(Span {
             name,
