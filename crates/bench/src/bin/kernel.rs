@@ -16,8 +16,9 @@
 //!    the sweep to a single point).
 //! 3. **Accelerator matvec** — the demo 256→128 tiled layer through
 //!    `AfprAccelerator::matvec` with warm kernels.
-//! 4. **Parallel forward** — the same layer through the runtime
-//!    engine (`matvec_parallel/s`), bit-checked against sequential.
+//! 4. **Parallel forward** — the same layer through
+//!    `AfprAccelerator::forward_batch` on the runtime engine (reported
+//!    as `matvec_parallel_per_s`), bit-checked against sequential.
 //! 5. **Serve path** — an in-process server + client round-trip
 //!    (`req/s`), i.e. the kernel speedup as a client would see it.
 //!

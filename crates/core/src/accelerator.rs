@@ -4,13 +4,14 @@
 use crate::mapping::{tile_matrix, TiledMatrix};
 use afpr_circuit::units::Joules;
 use afpr_nn::tensor::Tensor;
-use afpr_num::FpFormat;
 use afpr_runtime::Engine;
 use afpr_xbar::cim_macro::CimMacro;
 use afpr_xbar::metrics::MacroStats;
 use afpr_xbar::quant::FpActQuantizer;
 use afpr_xbar::spec::{MacroMode, MacroSpec};
 use afpr_xbar::PartialSumAdder;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Opaque handle to a mapped layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,7 +131,7 @@ impl AfprAccelerator {
                 .map(|x| {
                     assert_eq!(x.len(), layer.tiled.k, "sample length must equal K");
                     let slice = &x[tile.row_start..tile.row_end];
-                    quantizer_for(slice, format).quantize_slice(slice)
+                    FpActQuantizer::calibrate(slice, format).quantize_slice(slice)
                 })
                 .collect();
             mac.calibrate_range(&quantized);
@@ -139,28 +140,16 @@ impl AfprAccelerator {
 
     /// Executes a tiled matrix-vector product: every tile's macro runs
     /// its slice; row-tile partials are combined by the inter-core
-    /// routing adder.
+    /// routing adder. A batch of one of
+    /// [`matvec_batch`](Self::matvec_batch).
     ///
     /// # Panics
     ///
     /// Panics if the handle is stale or `x.len() != K`.
     pub fn matvec(&mut self, handle: LayerHandle, x: &[f32]) -> Vec<f32> {
-        let layer = &mut self.layers[handle.0];
-        assert_eq!(x.len(), layer.tiled.k, "input length must equal K");
-        let mut out = vec![0.0f32; layer.tiled.n];
-        for ct in 0..layer.tiled.col_tiles {
-            let mut partials: Vec<Vec<f32>> = Vec::with_capacity(layer.tiled.row_tiles);
-            for rt in 0..layer.tiled.row_tiles {
-                let idx = rt * layer.tiled.col_tiles + ct;
-                let tile = &layer.tiled.tiles[idx];
-                let slice = &x[tile.row_start..tile.row_end];
-                partials.push(layer.macros[idx].matvec(slice));
-            }
-            let summed = self.adder.sum(&partials);
-            let col_start = layer.tiled.tiles[ct].col_start;
-            out[col_start..col_start + summed.len()].copy_from_slice(&summed);
-        }
-        out
+        self.matvec_batch(handle, &[x])
+            .pop()
+            .expect("one input in, one output out")
     }
 
     /// Height of a full row tile of a mapped layer, i.e. the input-row
@@ -248,33 +237,15 @@ impl AfprAccelerator {
             for ct in 0..layer.tiled.col_tiles {
                 let idx = rt * layer.tiled.col_tiles + ct;
                 let tile = &layer.tiled.tiles[idx];
-                let slice = &x[tile.row_start - row_offset..tile.row_end - row_offset];
-                let y = layer.macros[idx].matvec(slice);
+                let rows = tile.row_start - row_offset..tile.row_end - row_offset;
+                let y = run_tile(&mut layer.macros[idx], rows, &[x])
+                    .pop()
+                    .expect("one input in, one output out");
                 partial[tile.col_start..tile.col_start + y.len()].copy_from_slice(&y);
             }
             partials.push(partial);
         }
         partials
-    }
-
-    /// Parallel tiled matrix-vector product on a runtime [`Engine`].
-    /// This is batch-of-one [`forward_batch`](Self::forward_batch):
-    /// the batched GEMM path with `B == 1` degenerates to exactly one
-    /// blocked conductance pass per tile, so single-vector and batched
-    /// serving share one dispatch shape (and one set of invariants).
-    ///
-    /// **Determinism:** bit-identical to `matvec` for any worker or
-    /// chunk count — each macro owns its RNG and runs exactly once per
-    /// call, and the float reduction order is unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle is stale or `x.len() != K`.
-    pub fn matvec_parallel(&mut self, handle: LayerHandle, x: &[f32], engine: &Engine) -> Vec<f32> {
-        let xs = [x.to_vec()];
-        self.forward_batch(handle, &xs, engine)
-            .pop()
-            .expect("batch of one yields one output")
     }
 
     /// Engine-free batched GEMM over one layer: every tile's macro
@@ -291,23 +262,21 @@ impl AfprAccelerator {
     /// # Panics
     ///
     /// Panics if the handle is stale or any `xs[i].len() != K`.
-    pub fn matvec_batch(&mut self, handle: LayerHandle, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
+    pub fn matvec_batch<X: AsRef<[f32]>>(
+        &mut self,
+        handle: LayerHandle,
+        xs: &[X],
+    ) -> Vec<Vec<f32>> {
         let layer = &mut self.layers[handle.0];
         for x in xs {
-            assert_eq!(x.len(), layer.tiled.k, "input length must equal K");
+            assert_eq!(x.as_ref().len(), layer.tiled.k, "input length must equal K");
         }
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        // per_tile[idx][sample] — tile-major, like the macro layout.
-        let mut per_tile: Vec<Vec<Vec<f32>>> = Vec::with_capacity(layer.macros.len());
-        for (mac, tile) in layer.macros.iter_mut().zip(&layer.tiled.tiles) {
-            let inputs: Vec<Vec<f32>> = xs
-                .iter()
-                .map(|x| x[tile.row_start..tile.row_end].to_vec())
-                .collect();
-            per_tile.push(mac.matvec_batch(&inputs));
-        }
+        let per_tile = layer
+            .macros
+            .iter_mut()
+            .zip(&layer.tiled.tiles)
+            .map(|(mac, tile)| run_tile(mac, tile.row_start..tile.row_end, xs))
+            .collect();
         reduce_tile_batch(&mut self.adder, &layer.tiled, per_tile, xs.len())
     }
 
@@ -330,10 +299,10 @@ impl AfprAccelerator {
     /// # Panics
     ///
     /// Panics if the handle is stale or any `xs[i].len() != K`.
-    pub fn forward_batch(
+    pub fn forward_batch<X: AsRef<[f32]>>(
         &mut self,
         handle: LayerHandle,
-        xs: &[Vec<f32>],
+        xs: &[X],
         engine: &Engine,
     ) -> Vec<Vec<f32>> {
         let (tiles, k, n) = {
@@ -341,7 +310,7 @@ impl AfprAccelerator {
             (layer.macros.len(), layer.tiled.k, layer.tiled.n)
         };
         for x in xs {
-            assert_eq!(x.len(), k, "input length must equal K");
+            assert_eq!(x.as_ref().len(), k, "input length must equal K");
         }
         if xs.is_empty() {
             return Vec::new();
@@ -354,33 +323,18 @@ impl AfprAccelerator {
         }
 
         let layer = &mut self.layers[handle.0];
-        let macros = std::mem::take(&mut layer.macros);
-        let jobs: Vec<(CimMacro, Vec<Vec<f32>>)> = macros
+        let inputs: Arc<[Vec<f32>]> = xs.iter().map(|x| x.as_ref().to_vec()).collect();
+        let jobs: Vec<_> = std::mem::take(&mut layer.macros)
             .into_iter()
             .zip(&layer.tiled.tiles)
-            .map(|(mac, tile)| {
-                let inputs: Vec<Vec<f32>> = xs
-                    .iter()
-                    .map(|x| x[tile.row_start..tile.row_end].to_vec())
-                    .collect();
-                (mac, inputs)
-            })
+            .map(|(mac, tile)| (mac, tile.row_start..tile.row_end, Arc::clone(&inputs)))
             .collect();
-        let results =
-            engine.execute_chunked(jobs, |(mut mac, inputs): (CimMacro, Vec<Vec<f32>>)| {
-                let outs = mac.matvec_batch(&inputs);
-                (mac, outs)
-            });
-
-        // per_tile[idx][sample] — tile-major, like the macro layout.
-        let mut per_tile: Vec<Vec<Vec<f32>>> = Vec::with_capacity(results.len());
-        layer.macros = results
-            .into_iter()
-            .map(|(mac, outs)| {
-                per_tile.push(outs);
-                mac
-            })
-            .collect();
+        let results = engine.execute_chunked(jobs, |(mut mac, rows, inputs)| {
+            let outs = run_tile(&mut mac, rows, &inputs);
+            (mac, outs)
+        });
+        let (macros, per_tile) = results.into_iter().unzip();
+        layer.macros = macros;
         reduce_tile_batch(&mut self.adder, &layer.tiled, per_tile, xs.len())
     }
 
@@ -518,8 +472,11 @@ impl AfprAccelerator {
     }
 }
 
-fn quantizer_for(slice: &[f32], format: FpFormat) -> FpActQuantizer {
-    FpActQuantizer::calibrate(slice, format)
+/// The one tile runner: a tile's macro runs rows `rows` of every input
+/// as one batch ([`CimMacro::matvec_batch`]), consuming its RNG stream in
+/// input order.
+fn run_tile<X: AsRef<[f32]>>(mac: &mut CimMacro, rows: Range<usize>, xs: &[X]) -> Vec<Vec<f32>> {
+    mac.matvec_batch(xs.iter().map(|x| &x.as_ref()[rows.clone()]))
 }
 
 /// Reduces tile-major batched partials (`per_tile[idx][sample]`) into
@@ -529,27 +486,23 @@ fn quantizer_for(slice: &[f32], format: FpFormat) -> FpActQuantizer {
 fn reduce_tile_batch(
     adder: &mut PartialSumAdder,
     tiled: &TiledMatrix,
-    mut per_tile: Vec<Vec<Vec<f32>>>,
+    per_tile: Vec<Vec<Vec<f32>>>,
     batch: usize,
 ) -> Vec<Vec<f32>> {
     let (row_tiles, col_tiles, n) = (tiled.row_tiles, tiled.col_tiles, tiled.n);
-    let mut batch_out = Vec::with_capacity(batch);
-    // `s` indexes the *inner* (sample) axis of the tile-major
-    // `per_tile`, so clippy's iterate-over-`per_tile` hint is wrong.
-    #[allow(clippy::needless_range_loop)]
-    for s in 0..batch {
-        let mut out = vec![0.0f32; n];
-        for ct in 0..col_tiles {
-            let partials: Vec<Vec<f32>> = (0..row_tiles)
-                .map(|rt| std::mem::take(&mut per_tile[rt * col_tiles + ct][s]))
-                .collect();
-            let summed = adder.sum(&partials);
-            let col_start = tiled.tiles[ct].col_start;
-            out[col_start..col_start + summed.len()].copy_from_slice(&summed);
-        }
-        batch_out.push(out);
-    }
-    batch_out
+    let mut summed = Vec::new();
+    (0..batch)
+        .map(|s| {
+            // Column tiles are contiguous and in column order.
+            let mut out = Vec::with_capacity(n);
+            for ct in 0..col_tiles {
+                let parts = (0..row_tiles).map(|rt| &per_tile[rt * col_tiles + ct][s]);
+                adder.sum_into(parts, &mut summed);
+                out.extend_from_slice(&summed);
+            }
+            out
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -134,20 +134,12 @@ impl MacroModelSim {
         }
     }
 
-    /// One matvec, routed through the engine when in parallel mode.
-    fn matvec(&mut self, handle: LayerHandle, x: &[f32]) -> Vec<f32> {
-        match &self.engine {
-            Some(engine) => self.accel.matvec_parallel(handle, x, engine),
-            None => self.accel.matvec(handle, x),
-        }
-    }
-
-    /// A micro-batch of matvecs (conv patch positions), batched onto
-    /// the engine when in parallel mode. Sequential mode still runs
-    /// the batched GEMM kernel inline — one blocked conductance pass
-    /// per tile for the whole batch, bit-identical to a per-sample
-    /// matvec loop.
-    fn matvec_many(&mut self, handle: LayerHandle, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
+    /// A micro-batch of matvecs (conv patch positions, or a linear
+    /// layer's one input), batched onto the engine when in parallel
+    /// mode. Sequential mode still runs the batched GEMM kernel inline
+    /// — one blocked conductance pass per tile for the whole batch,
+    /// bit-identical to a per-sample matvec loop.
+    fn matvec_many<X: AsRef<[f32]>>(&mut self, handle: LayerHandle, xs: &[X]) -> Vec<Vec<f32>> {
         match &self.engine {
             Some(engine) => self.accel.forward_batch(handle, xs, engine),
             None => self.accel.matvec_batch(handle, xs),
@@ -381,7 +373,10 @@ fn forward_layer(
     } else if let Some(lin) = any.downcast_ref::<Linear>() {
         let handle = sim.handles[*cursor];
         *cursor += 1;
-        let mut y = sim.matvec(handle, x.data());
+        let mut y = sim
+            .matvec_many(handle, &[x.data()])
+            .pop()
+            .expect("one input in, one output out");
         sim.dpu.add_bias(&mut y, lin.bias());
         Tensor::new(&[y.len()], y)
     } else if let Some(inner) = any.downcast_ref::<Sequential>() {

@@ -58,7 +58,7 @@ fn assert_bits_eq(a: &[Vec<f32>], b: &[Vec<f32>], what: &str) {
 }
 
 #[test]
-fn matvec_parallel_is_bit_identical_across_seeds_and_thread_counts() {
+fn forward_batch_of_one_is_bit_identical_across_seeds_and_thread_counts() {
     for seed in SEEDS {
         // Sequential golden run: several calls so RNG streams advance.
         let (mut seq, h) = tiled_accel(seed);
@@ -72,7 +72,7 @@ fn matvec_parallel_is_bit_identical_across_seeds_and_thread_counts() {
             let (mut par, h) = tiled_accel(seed);
             let got: Vec<Vec<f32>> = xs
                 .iter()
-                .map(|x| par.matvec_parallel(h, x, &engine))
+                .flat_map(|x| par.forward_batch(h, &[x], &engine))
                 .collect();
             assert_bits_eq(&golden, &got, &format!("seed {seed}, {threads} threads"));
 
@@ -193,7 +193,9 @@ fn interleaving_parallel_and_sequential_calls_stays_deterministic() {
             if i % 2 == 0 {
                 a.matvec(ha, x)
             } else {
-                a.matvec_parallel(ha, x, &engine)
+                a.forward_batch(ha, &[x], &engine)
+                    .pop()
+                    .expect("one input in, one output out")
             }
         })
         .collect();

@@ -17,9 +17,10 @@
 //!
 //! # Determinism contract
 //!
-//! For a fixed seed, `AfprAccelerator::matvec_parallel` (in
+//! For a fixed seed, `AfprAccelerator::forward_batch` (in
 //! `afpr-core`) produces bit-identical outputs *and* identical
-//! energy/statistics to `matvec`, for any worker count. This holds
+//! energy/statistics to `matvec` called once per input, for any
+//! worker count. This holds
 //! because:
 //!
 //! 1. each macro's RNG stream advances only inside that macro's own

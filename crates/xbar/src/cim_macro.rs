@@ -46,19 +46,8 @@ use afpr_circuit::int_adc::IntAdc;
 use afpr_circuit::int_dac::IntDac;
 use afpr_circuit::units::{Amps, Joules, Volts};
 use afpr_circuit::{EnergyModel, Pga};
-use afpr_num::HwFpCode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
-
-/// Which weight polarity array a raw phase drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum WeightPolarity {
-    /// The positive-weight array.
-    Positive,
-    /// The negative-weight array.
-    Negative,
-}
 
 /// One AFPR-CIM macro instance.
 ///
@@ -410,71 +399,6 @@ impl CimMacro {
         }
     }
 
-    /// DAC stage for one FP drive vector: shared mantissa ladder,
-    /// per-row PGA.
-    fn fp_voltages(&self, drive: &[Option<HwFpCode>]) -> Vec<Volts> {
-        drive
-            .iter()
-            .enumerate()
-            .map(|(r, code)| match code {
-                Some(c) => Volts::new(
-                    self.row_pgas[r].apply(c.exp(), self.fp_dac.mantissa_voltage(c.man()).volts()),
-                ),
-                None => Volts::ZERO,
-            })
-            .collect()
-    }
-
-    /// Raw single-phase operation: unsigned codes against one weight
-    /// polarity, every column ADC converting the raw (divided) current.
-    /// This is the primitive the paper's dense-mode Table I operation
-    /// and the Fig. 5 functional test exercise. Returns per-column
-    /// digital values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the macro is in INT8 mode, `drive.len() != rows`, or
-    /// weights are not programmed.
-    pub fn compute_phase_fp(
-        &mut self,
-        drive: &[Option<HwFpCode>],
-        polarity: WeightPolarity,
-    ) -> Vec<f64> {
-        assert!(
-            self.spec.mode.fp_format().is_some(),
-            "compute_phase_fp needs an FP mode"
-        );
-        assert_eq!(drive.len(), self.spec.rows, "need one activation per row");
-        assert!(self.mapped.is_some(), "weights must be programmed first");
-
-        let voltages = self.fp_voltages(drive);
-        let array = match polarity {
-            WeightPolarity::Positive => &self.pos,
-            WeightPolarity::Negative => &self.neg,
-        };
-        let currents = array.mac_currents_noisy(&voltages, &mut self.rng);
-        let array_energy = array.array_energy(&voltages, self.spec.fp_adc.t_integrate);
-
-        let units = self.digital_units_per_adc_unit();
-        let divider = self.current_divider;
-        let mut out = Vec::with_capacity(self.spec.cols);
-        for (col, i) in currents.iter().enumerate() {
-            let scaled = Amps::new(i.amps() / divider);
-            let r = self.fp_adcs[col].convert_noisy(scaled, &mut self.rng);
-            if r.overflow {
-                self.stats.saturations += 1;
-            }
-            if r.underflow {
-                self.stats.underflows += 1;
-            }
-            out.push(r.value() * units);
-        }
-
-        let active_rows = voltages.iter().filter(|v| v.volts() > 0.0).count();
-        self.account(AdcSpec::fp(&self.spec.fp_adc), active_rows, array_energy, 1);
-        out
-    }
-
     /// Signed FP matrix-vector product in *digital* units
     /// (`Σ a_i w_ij`): differential charge accumulation over up to two
     /// input-sign phases, one magnitude readout per column.
@@ -493,337 +417,128 @@ impl CimMacro {
             self.spec.rows,
             "need one activation per row"
         );
-        assert!(self.mapped.is_some(), "weights must be programmed first");
-
-        let pos_drive: Vec<Option<HwFpCode>> = activations
-            .iter()
-            .map(|a| if a.negative { None } else { a.code })
-            .collect();
-        let neg_drive: Vec<Option<HwFpCode>> = activations
-            .iter()
-            .map(|a| if a.negative { a.code } else { None })
-            .collect();
-
-        let mut net = vec![0.0f64; self.spec.cols]; // amps, signed
-        let mut array_energy = Joules::ZERO;
-        let mut phases = 0u32;
-        for (drive, sign) in [(&pos_drive, 1.0f64), (&neg_drive, -1.0f64)] {
-            if drive.iter().all(Option::is_none) {
-                continue;
-            }
-            phases += 1;
-            let voltages = self.fp_voltages(drive);
-            // Differential pair shares the word line: one DAC drive
-            // feeds both polarities; integrator accumulates I⁺ − I⁻
-            // with the phase sign.
-            let ip = self.pos.mac_currents_noisy(&voltages, &mut self.rng);
-            let i_neg = self.neg.mac_currents_noisy(&voltages, &mut self.rng);
-            for (n, (p, m)) in net.iter_mut().zip(ip.iter().zip(&i_neg)) {
-                *n += sign * (p.amps() - m.amps());
-            }
-            array_energy += self
-                .pos
-                .array_energy(&voltages, self.spec.fp_adc.t_integrate)
-                + self
-                    .neg
-                    .array_energy(&voltages, self.spec.fp_adc.t_integrate);
-        }
-
-        let units = self.digital_units_per_adc_unit();
-        let divider = self.current_divider;
-        let mut out = Vec::with_capacity(self.spec.cols);
-        for (col, i_net) in net.iter().enumerate() {
-            let magnitude = Amps::new(i_net.abs() / divider);
-            let r = self.fp_adcs[col].convert_noisy(magnitude, &mut self.rng);
-            if r.overflow {
-                self.stats.saturations += 1;
-            }
-            if r.underflow {
-                self.stats.underflows += 1;
-            }
-            out.push(r.value() * units * i_net.signum());
-        }
-
-        let active_rows = activations.iter().filter(|a| a.code.is_some()).count();
-        self.account(
-            AdcSpec::fp(&self.spec.fp_adc),
-            active_rows,
-            array_energy,
-            phases.max(1),
-        );
-        out
+        self.run_slab(activations)
+            .pop()
+            .expect("one sample in, one out")
     }
 
-    /// True batched signed FP GEMM: B matvecs computed with a single
-    /// blocked conductance pass per differential array over the whole
-    /// drive slab, instead of B independent array traversals.
+    /// The macro operation for a slab of samples (`rows` activations
+    /// each, row-major), returning `cols` digital outputs per sample —
+    /// the one path every matvec entry point takes:
     ///
-    /// Bit-identical to calling [`CimMacro::matvec_digital_fp`] once
-    /// per sample, in order: per-(sample, column) accumulators replay
-    /// the exact per-row float-op sequence, the ADC readouts consume
-    /// the macro RNG in the same (sample, column) order, and energy /
-    /// stats accounting runs per sample as in the sequential loop.
-    /// Device configs with runtime read noise
-    /// (`read_noise_sigma != 0`) fall back to the sequential path so
-    /// the per-cell RNG draw order is preserved.
+    /// 1. each sample's sign-chopped phase drives through the mode's
+    ///    DAC (a phase with nothing to drive is skipped);
+    /// 2. currents of the positive and negative arrays over the slab;
+    /// 3. each sample's net `I⁺ − I⁻`, accumulated with the phase sign;
+    /// 4. one readout per column through the mode's ADC, then
+    ///    [`CimMacro::account`] once per sample.
     ///
-    /// # Panics
-    ///
-    /// Panics if the macro is in INT8 mode, a sample length
-    /// mismatches, or weights are not programmed.
-    pub fn matvec_digital_fp_batch(&mut self, batch: &[Vec<SignedActivation>]) -> Vec<Vec<f64>> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        if self.spec.device.read_noise_sigma != 0.0 || batch.len() == 1 {
-            return batch
-                .iter()
-                .map(|acts| self.matvec_digital_fp(acts))
-                .collect();
-        }
-        assert!(
-            self.spec.mode.fp_format().is_some(),
-            "matvec_digital_fp_batch needs an FP mode"
-        );
+    /// Noise-free devices run the whole slab as one chunk, with one
+    /// blocked conductance pass per array. Runtime read noise
+    /// (`read_noise_sigma != 0`) makes every sample its own chunk, so
+    /// the macro RNG is drawn in the order of a sequential loop:
+    /// positive then negative array per phase, then that sample's ADC
+    /// conversions. Either way every `(sample, column)` keeps its own
+    /// accumulators and float-op order, so the result is bit-identical
+    /// to running the samples one at a time.
+    fn run_slab<A: Activation>(&mut self, acts: &[A]) -> Vec<Vec<f64>> {
         assert!(self.mapped.is_some(), "weights must be programmed first");
-
-        // Flatten the per-sample sign-chopping phases into one drive
-        // slab, in (sample, phase) order — the same order the
-        // sequential loop would issue them.
-        let mut drives: Vec<Vec<Volts>> = Vec::with_capacity(batch.len() * 2);
-        let mut meta: Vec<(usize, f64)> = Vec::with_capacity(batch.len() * 2);
-        for (s, activations) in batch.iter().enumerate() {
-            assert_eq!(
-                activations.len(),
-                self.spec.rows,
-                "need one activation per row"
-            );
-            for negative in [false, true] {
-                let drive: Vec<Option<HwFpCode>> = activations
-                    .iter()
-                    .map(|a| if a.negative == negative { a.code } else { None })
-                    .collect();
-                if drive.iter().all(Option::is_none) {
-                    continue;
-                }
-                drives.push(self.fp_voltages(&drive));
-                meta.push((s, if negative { -1.0 } else { 1.0 }));
-            }
-        }
-
-        let t = self.spec.fp_adc.t_integrate;
-        let ip = self.pos.mac_currents_batch(&drives);
-        let im = self.neg.mac_currents_batch(&drives);
-        let ep = self.pos.array_energy_batch(&drives, t);
-        let em = self.neg.array_energy_batch(&drives, t);
-
+        let (rows, cols) = (self.spec.rows, self.spec.cols);
+        let adc_spec = match self.spec.mode {
+            MacroMode::FpE2M5 | MacroMode::FpE3M4 => AdcSpec::fp(&self.spec.fp_adc),
+            MacroMode::Int8 => AdcSpec::int(&self.spec.int_adc),
+        };
+        let noisy = self.spec.device.read_noise_sigma != 0.0;
+        let chunk = if noisy { rows } else { acts.len().max(rows) };
         let units = self.digital_units_per_adc_unit();
         let divider = self.current_divider;
-        let mut out = Vec::with_capacity(batch.len());
-        let mut k = 0usize;
-        for (s, activations) in batch.iter().enumerate() {
-            let mut net = vec![0.0f64; self.spec.cols];
-            let mut array_energy = Joules::ZERO;
-            let mut phases = 0u32;
-            while k < meta.len() && meta[k].0 == s {
-                let sign = meta[k].1;
-                phases += 1;
-                for (n, (p, m)) in net.iter_mut().zip(ip[k].iter().zip(&im[k])) {
-                    *n += sign * (p.amps() - m.amps());
-                }
-                array_energy += ep[k] + em[k];
-                k += 1;
-            }
-            let mut y = Vec::with_capacity(self.spec.cols);
-            for (col, i_net) in net.iter().enumerate() {
-                let magnitude = Amps::new(i_net.abs() / divider);
-                let r = self.fp_adcs[col].convert_noisy(magnitude, &mut self.rng);
-                if r.overflow {
-                    self.stats.saturations += 1;
-                }
-                if r.underflow {
-                    self.stats.underflows += 1;
-                }
-                y.push(r.value() * units * i_net.signum());
-            }
-            let active_rows = activations.iter().filter(|a| a.code.is_some()).count();
-            self.account(
-                AdcSpec::fp(&self.spec.fp_adc),
-                active_rows,
-                array_energy,
-                phases.max(1),
-            );
-            out.push(y);
-        }
-        out
-    }
-
-    /// Signed INT8 matrix-vector product in digital units (activation
-    /// magnitudes `0..=255` with sign flags).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the macro is not in INT8 mode or preconditions fail.
-    pub fn matvec_digital_int(&mut self, activations: &[(bool, u32)]) -> Vec<f64> {
-        assert_eq!(
-            self.spec.mode,
-            MacroMode::Int8,
-            "matvec_digital_int needs INT8 mode"
-        );
-        assert_eq!(
-            activations.len(),
-            self.spec.rows,
-            "need one activation per row"
-        );
-        assert!(self.mapped.is_some(), "weights must be programmed first");
-
-        let mut net = vec![0.0f64; self.spec.cols];
-        let mut array_energy = Joules::ZERO;
-        let mut phases = 0u32;
-        for (want_neg, sign) in [(false, 1.0f64), (true, -1.0f64)] {
-            let voltages: Vec<Volts> = activations
-                .iter()
-                .map(|&(neg, m)| {
-                    if neg == want_neg {
-                        self.int_dac.convert(m)
-                    } else {
-                        Volts::ZERO
-                    }
-                })
-                .collect();
-            if voltages.iter().all(|v| v.volts() == 0.0) {
-                continue;
-            }
-            phases += 1;
-            let ip = self.pos.mac_currents_noisy(&voltages, &mut self.rng);
-            let i_neg = self.neg.mac_currents_noisy(&voltages, &mut self.rng);
-            for (n, (p, m)) in net.iter_mut().zip(ip.iter().zip(&i_neg)) {
-                *n += sign * (p.amps() - m.amps());
-            }
-            array_energy += self
-                .pos
-                .array_energy(&voltages, self.spec.int_adc.t_integrate)
-                + self
-                    .neg
-                    .array_energy(&voltages, self.spec.int_adc.t_integrate);
-        }
-
-        let units = self.digital_units_per_adc_unit();
-        let divider = self.current_divider;
-        let mut out = Vec::with_capacity(self.spec.cols);
-        for i_net in &net {
-            let magnitude = Amps::new(i_net.abs() / divider);
-            let r = self.int_adc.convert(magnitude);
-            if r.overflow {
-                self.stats.saturations += 1;
-            }
-            out.push(f64::from(r.code) * units * i_net.signum());
-        }
-
-        let active_rows = activations.iter().filter(|&&(_, m)| m > 0).count();
-        self.account(
-            AdcSpec::int(&self.spec.int_adc),
-            active_rows,
-            array_energy,
-            phases.max(1),
-        );
-        out
-    }
-
-    /// Batched INT8 GEMM, the integer twin of
-    /// [`CimMacro::matvec_digital_fp_batch`]: one blocked conductance
-    /// pass per differential array over the whole drive slab,
-    /// bit-identical to sequential [`CimMacro::matvec_digital_int`]
-    /// calls (the INT ADC draws no runtime noise at all). Falls back
-    /// to the sequential loop when `read_noise_sigma != 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the macro is not in INT8 mode or preconditions fail.
-    pub fn matvec_digital_int_batch(&mut self, batch: &[Vec<(bool, u32)>]) -> Vec<Vec<f64>> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        if self.spec.device.read_noise_sigma != 0.0 || batch.len() == 1 {
-            return batch
-                .iter()
-                .map(|acts| self.matvec_digital_int(acts))
-                .collect();
-        }
-        assert_eq!(
-            self.spec.mode,
-            MacroMode::Int8,
-            "matvec_digital_int_batch needs INT8 mode"
-        );
-        assert!(self.mapped.is_some(), "weights must be programmed first");
-
-        let mut drives: Vec<Vec<Volts>> = Vec::with_capacity(batch.len() * 2);
-        let mut meta: Vec<(usize, f64)> = Vec::with_capacity(batch.len() * 2);
-        for (s, activations) in batch.iter().enumerate() {
-            assert_eq!(
-                activations.len(),
-                self.spec.rows,
-                "need one activation per row"
-            );
-            for want_neg in [false, true] {
-                let voltages: Vec<Volts> = activations
-                    .iter()
-                    .map(|&(neg, m)| {
-                        if neg == want_neg {
-                            self.int_dac.convert(m)
-                        } else {
-                            Volts::ZERO
+        let mut out = Vec::with_capacity(acts.len() / rows);
+        for samples in acts.chunks(chunk) {
+            // 1. The (sample, phase)-ordered slab of word-line volts and
+            // each live phase's (sample, sign).
+            let mut slab: Vec<f64> = Vec::with_capacity(2 * samples.len());
+            let mut phases: Vec<(usize, f64)> = Vec::with_capacity(2 * samples.len() / rows);
+            for (s, sample) in samples.chunks_exact(rows).enumerate() {
+                for negative in [false, true] {
+                    let mut live = false;
+                    slab.extend(sample.iter().enumerate().map(|(r, &a)| {
+                        if a.negative() != negative {
+                            return 0.0;
                         }
-                    })
-                    .collect();
-                if voltages.iter().all(|v| v.volts() == 0.0) {
-                    continue;
+                        let v = a.drive(self, r);
+                        live |= a.keeps_phase(v);
+                        v.volts()
+                    }));
+                    if live {
+                        phases.push((s, if negative { -1.0 } else { 1.0 }));
+                    } else {
+                        slab.truncate(slab.len() - rows);
+                    }
                 }
-                drives.push(voltages);
-                meta.push((s, if want_neg { -1.0 } else { 1.0 }));
             }
-        }
 
-        let t = self.spec.int_adc.t_integrate;
-        let ip = self.pos.mac_currents_batch(&drives);
-        let im = self.neg.mac_currents_batch(&drives);
-        let ep = self.pos.array_energy_batch(&drives, t);
-        let em = self.neg.array_energy_batch(&drives, t);
+            // 2. The differential pair shares the word line: one drive
+            // feeds both polarities. Amps, `cols` per phase.
+            let mut currents = vec![0.0f64; 2 * phases.len() * cols];
+            let (ip, im) = currents.split_at_mut(phases.len() * cols);
+            if noisy {
+                let per_phase = ip.chunks_exact_mut(cols).zip(im.chunks_exact_mut(cols));
+                for (v, (ip, im)) in slab.chunks_exact(rows).zip(per_phase) {
+                    let v: Vec<Volts> = v.iter().map(|&x| Volts::new(x)).collect();
+                    let p = self.pos.mac_currents_noisy(&v, &mut self.rng);
+                    let m = self.neg.mac_currents_noisy(&v, &mut self.rng);
+                    for (o, i) in ip.iter_mut().zip(p).chain(im.iter_mut().zip(m)) {
+                        *o = i.amps();
+                    }
+                }
+            } else {
+                self.pos.mac_slab_into(&slab, ip);
+                self.neg.mac_slab_into(&slab, im);
+            }
+            let v2: Vec<f64> = slab.iter().map(|v| v * v).collect();
+            let ep = self.pos.energy_slab(&v2, adc_spec.t_integrate);
+            let em = self.neg.energy_slab(&v2, adc_spec.t_integrate);
 
-        let units = self.digital_units_per_adc_unit();
-        let divider = self.current_divider;
-        let mut out = Vec::with_capacity(batch.len());
-        let mut k = 0usize;
-        for (s, activations) in batch.iter().enumerate() {
-            let mut net = vec![0.0f64; self.spec.cols];
-            let mut array_energy = Joules::ZERO;
-            let mut phases = 0u32;
-            while k < meta.len() && meta[k].0 == s {
-                let sign = meta[k].1;
-                phases += 1;
-                for (n, (p, m)) in net.iter_mut().zip(ip[k].iter().zip(&im[k])) {
-                    *n += sign * (p.amps() - m.amps());
+            // 3. Net current per sample, signed amps.
+            let first = out.len();
+            out.extend((0..samples.len() / rows).map(|_| vec![0.0f64; cols]));
+            let per_phase = ip.chunks_exact(cols).zip(im.chunks_exact(cols));
+            for (&(s, sign), (ip, im)) in phases.iter().zip(per_phase) {
+                for (n, (p, m)) in out[first + s].iter_mut().zip(ip.iter().zip(im)) {
+                    *n += sign * (p - m);
                 }
-                array_energy += ep[k] + em[k];
-                k += 1;
             }
-            let mut y = Vec::with_capacity(self.spec.cols);
-            for i_net in &net {
-                let magnitude = Amps::new(i_net.abs() / divider);
-                let r = self.int_adc.convert(magnitude);
-                if r.overflow {
-                    self.stats.saturations += 1;
+
+            // 4. Readout in place, then the sample's accounting.
+            let mut k = 0;
+            for (s, sample) in samples.chunks_exact(rows).enumerate() {
+                let mut array_energy = Joules::ZERO;
+                let phase0 = k;
+                while k < phases.len() && phases[k].0 == s {
+                    array_energy += ep[k] + em[k];
+                    k += 1;
                 }
-                y.push(f64::from(r.code) * units * i_net.signum());
+                for (col, n) in out[first + s].iter_mut().enumerate() {
+                    let magnitude = Amps::new(n.abs() / divider);
+                    let value = match self.spec.mode {
+                        MacroMode::FpE2M5 | MacroMode::FpE3M4 => {
+                            let r = self.fp_adcs[col].convert_noisy(magnitude, &mut self.rng);
+                            self.stats.saturations += u64::from(r.overflow);
+                            self.stats.underflows += u64::from(r.underflow);
+                            r.value()
+                        }
+                        MacroMode::Int8 => {
+                            let r = self.int_adc.convert(magnitude);
+                            self.stats.saturations += u64::from(r.overflow);
+                            f64::from(r.code)
+                        }
+                    };
+                    *n = value * units * n.signum();
+                }
+                let active_rows = sample.iter().filter(|a| a.is_active()).count();
+                let phases = u32::try_from(k - phase0).expect("at most two phases");
+                self.account(adc_spec, active_rows, array_energy, phases.max(1));
             }
-            let active_rows = activations.iter().filter(|&&(_, m)| m > 0).count();
-            self.account(
-                AdcSpec::int(&self.spec.int_adc),
-                active_rows,
-                array_energy,
-                phases.max(1),
-            );
-            out.push(y);
         }
         out
     }
@@ -849,78 +564,68 @@ impl CimMacro {
     /// End-to-end real-valued matrix-vector product: calibrates an
     /// activation quantizer on `x`, runs the signed differential
     /// conversion, and rescales the digital result back to real units.
+    /// A batch of one of [`CimMacro::matvec_batch`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != rows` or weights are not programmed.
     pub fn matvec(&mut self, x: &[f32]) -> Vec<f32> {
-        match self.spec.mode {
-            MacroMode::FpE2M5 | MacroMode::FpE3M4 => {
-                let q = FpActQuantizer::calibrate(x, self.spec.fp_dac.format);
-                self.matvec_with_fp(x, &q)
-            }
-            MacroMode::Int8 => {
-                let q = IntActQuantizer::calibrate(x);
-                self.matvec_with_int(x, &q)
-            }
-        }
+        self.matvec_batch([x])
+            .pop()
+            .expect("one sample in, one out")
     }
 
     /// End-to-end batched real-valued GEMM: per-sample quantizer
-    /// calibration (pure, exactly what [`CimMacro::matvec`] does),
-    /// one batched digital GEMM, per-sample rescale. Bit-identical to
-    /// mapping [`CimMacro::matvec`] over `xs` in order.
+    /// calibration, one slab through the macro, per-sample rescale.
+    /// Bit-identical to mapping [`CimMacro::matvec`] over `xs` in order.
     ///
     /// # Panics
     ///
     /// Panics if a sample length mismatches or weights are not
     /// programmed.
-    pub fn matvec_batch(&mut self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        match self.spec.mode {
+    pub fn matvec_batch<I>(&mut self, xs: I) -> Vec<Vec<f32>>
+    where
+        I: IntoIterator,
+        I::Item: AsRef<[f32]>,
+    {
+        let xs = xs.into_iter();
+        let (n, rows) = (xs.size_hint().0, self.spec.rows);
+        // Real units per digital unit of each sample's activations.
+        let mut a_scales = Vec::with_capacity(n);
+        let digital = match self.spec.mode {
             MacroMode::FpE2M5 | MacroMode::FpE3M4 => {
-                let qs: Vec<FpActQuantizer> = xs
-                    .iter()
-                    .map(|x| FpActQuantizer::calibrate(x, self.spec.fp_dac.format))
-                    .collect();
-                let acts: Vec<Vec<SignedActivation>> = xs
-                    .iter()
-                    .zip(&qs)
-                    .map(|(x, q)| q.quantize_slice(x))
-                    .collect();
-                let digital = self.matvec_digital_fp_batch(&acts);
-                let w_scale = self.mapped_weights().scale;
-                digital
-                    .into_iter()
-                    .zip(&qs)
-                    .map(|(d, q)| {
-                        d.into_iter()
-                            .map(|v| v as f32 * q.scale * w_scale)
-                            .collect()
-                    })
-                    .collect()
+                let mut acts = Vec::with_capacity(n * rows);
+                for x in xs {
+                    let x = x.as_ref();
+                    assert_eq!(x.len(), rows, "need one activation per row");
+                    let q = FpActQuantizer::calibrate(x, self.spec.fp_dac.format);
+                    acts.extend(x.iter().map(|&v| q.quantize(v)));
+                    a_scales.push(q.scale);
+                }
+                self.run_slab(&acts)
             }
             MacroMode::Int8 => {
-                let qs: Vec<IntActQuantizer> =
-                    xs.iter().map(|x| IntActQuantizer::calibrate(x)).collect();
-                let acts: Vec<Vec<(bool, u32)>> = xs
-                    .iter()
-                    .zip(&qs)
-                    .map(|(x, q)| x.iter().map(|&v| q.quantize(v)).collect())
-                    .collect();
-                let digital = self.matvec_digital_int_batch(&acts);
-                let w_scale = self.mapped_weights().scale;
-                digital
-                    .into_iter()
-                    .zip(&qs)
-                    .map(|(d, q)| {
-                        let a_scale = q.inner().scale();
-                        d.into_iter()
-                            .map(|v| v as f32 * a_scale * w_scale)
-                            .collect()
-                    })
-                    .collect()
+                let mut acts = Vec::with_capacity(n * rows);
+                for x in xs {
+                    let x = x.as_ref();
+                    assert_eq!(x.len(), rows, "need one activation per row");
+                    let q = IntActQuantizer::calibrate(x);
+                    acts.extend(x.iter().map(|&v| q.quantize(v)));
+                    a_scales.push(q.inner().scale());
+                }
+                self.run_slab(&acts)
             }
-        }
+        };
+        let w_scale = self.mapped_weights().scale;
+        digital
+            .into_iter()
+            .zip(a_scales)
+            .map(|(d, a_scale)| {
+                d.into_iter()
+                    .map(|v| v as f32 * a_scale * w_scale)
+                    .collect()
+            })
+            .collect()
     }
 
     /// FP matrix-vector product with an explicit (pre-calibrated)
@@ -930,28 +635,11 @@ impl CimMacro {
     ///
     /// Panics if the macro is in INT8 mode or preconditions fail.
     pub fn matvec_with_fp(&mut self, x: &[f32], q: &FpActQuantizer) -> Vec<f32> {
-        let acts = q.quantize_slice(x);
-        let digital = self.matvec_digital_fp(&acts);
+        let digital = self.matvec_digital_fp(&q.quantize_slice(x));
         let w_scale = self.mapped_weights().scale;
         digital
             .into_iter()
             .map(|d| d as f32 * q.scale * w_scale)
-            .collect()
-    }
-
-    /// INT8 matrix-vector product with an explicit quantizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the macro is not in INT8 mode or preconditions fail.
-    pub fn matvec_with_int(&mut self, x: &[f32], q: &IntActQuantizer) -> Vec<f32> {
-        let acts: Vec<(bool, u32)> = x.iter().map(|&v| q.quantize(v)).collect();
-        let digital = self.matvec_digital_int(&acts);
-        let w_scale = self.mapped_weights().scale;
-        let a_scale = q.inner().scale();
-        digital
-            .into_iter()
-            .map(|d| d as f32 * a_scale * w_scale)
             .collect()
     }
 
@@ -984,10 +672,68 @@ impl CimMacro {
     }
 }
 
+/// One row's digital activation as [`CimMacro::run_slab`] drives it:
+/// FP codes ([`SignedActivation`]) or INT8 sign + magnitude. Each mode
+/// keeps its own phase-skip and active-row predicates.
+trait Activation: Copy {
+    /// Whether the row drives the negative-input phase.
+    fn negative(self) -> bool;
+    /// Whether the row counts as an active row for DAC energy (FP: a
+    /// code; INT: a non-zero magnitude).
+    fn is_active(self) -> bool;
+    /// The row's word-line voltage through the mode's DAC.
+    fn drive(self, mac: &CimMacro, row: usize) -> Volts;
+    /// Whether the row keeps its phase from being skipped (FP: a code;
+    /// INT: a non-zero DAC voltage).
+    fn keeps_phase(self, v: Volts) -> bool;
+}
+
+impl Activation for SignedActivation {
+    fn negative(self) -> bool {
+        self.negative
+    }
+
+    fn is_active(self) -> bool {
+        self.code.is_some()
+    }
+
+    /// Shared mantissa ladder, per-row PGA.
+    fn drive(self, mac: &CimMacro, row: usize) -> Volts {
+        match self.code {
+            Some(c) => Volts::new(
+                mac.row_pgas[row].apply(c.exp(), mac.fp_dac.mantissa_voltage(c.man()).volts()),
+            ),
+            None => Volts::ZERO,
+        }
+    }
+
+    fn keeps_phase(self, _: Volts) -> bool {
+        self.code.is_some()
+    }
+}
+
+impl Activation for (bool, u32) {
+    fn negative(self) -> bool {
+        self.0
+    }
+
+    fn is_active(self) -> bool {
+        self.1 > 0
+    }
+
+    fn drive(self, mac: &CimMacro, _: usize) -> Volts {
+        mac.int_dac.convert(self.1)
+    }
+
+    fn keeps_phase(self, v: Volts) -> bool {
+        v.volts() != 0.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afpr_num::FpFormat;
+    use afpr_num::{FpFormat, HwFpCode};
 
     fn small_fp(rows: usize, cols: usize) -> CimMacro {
         CimMacro::with_seed(MacroSpec::small(rows, cols, MacroMode::FpE2M5), 42)
@@ -1149,20 +895,6 @@ mod tests {
     }
 
     #[test]
-    fn compute_phase_raw_unsigned() {
-        let mut mac = small_fp(4, 2);
-        mac.program_weights(&[0.5, 0.25, 1.0, 0.75, 0.5, 0.25, 1.0, 0.75]);
-        let fmt = FpFormat::E2M5;
-        let drive: Vec<Option<HwFpCode>> = (0..4)
-            .map(|k| Some(HwFpCode::new(fmt, 0, k * 4).unwrap()))
-            .collect();
-        let out = mac.compute_phase_fp(&drive, WeightPolarity::Positive);
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|v| *v >= 0.0));
-        assert_eq!(mac.stats().conversions, 1);
-    }
-
-    #[test]
     fn seeded_macros_are_reproducible() {
         let run = || {
             let mut mac = CimMacro::with_seed(
@@ -1282,8 +1014,8 @@ mod tests {
 
     #[test]
     fn noisy_batch_falls_back_to_sequential_rng_order() {
-        // Realistic device spec: read noise forces the per-sample
-        // fallback, which must still be bit-identical to the loop.
+        // Realistic device spec: read noise makes every sample its own
+        // chunk, which must still be bit-identical to the loop.
         let spec = MacroSpec {
             rows: 12,
             cols: 3,

@@ -460,7 +460,7 @@ impl Crossbar {
 
     /// Batched MAC: all source-line currents for a micro-batch of
     /// input vectors in **one pass over the conductance matrix**
-    /// ([`ConductanceKernel::mac_batch`]), instead of one pass per
+    /// ([`ConductanceKernel::mac_batch_into`]), instead of one pass per
     /// vector.
     ///
     /// Noise-free and deterministic: per sample **bit-identical** to a
@@ -475,19 +475,31 @@ impl Crossbar {
     ///
     /// Panics if any sample's length differs from `rows`.
     #[must_use]
-    pub fn mac_currents_batch(&self, v_batch: &[Vec<Volts>]) -> Vec<Vec<Amps>> {
-        for v in v_batch {
-            assert_eq!(v.len(), self.rows, "need one voltage per row");
-        }
-        let snap = self.conductance_snapshot();
-        let vs: Vec<Vec<f64>> = v_batch
-            .iter()
-            .map(|v| v.iter().map(|x| x.volts()).collect())
-            .collect();
-        snap.mac_batch(&vs)
-            .into_iter()
-            .map(|cols| cols.into_iter().map(Amps::new).collect())
+    pub fn mac_currents_batch<V: AsRef<[Volts]>>(&self, v_batch: &[V]) -> Vec<Vec<Amps>> {
+        let mut out = vec![0.0f64; v_batch.len() * self.cols];
+        self.mac_slab_into(&self.drive_slab(v_batch), &mut out);
+        out.chunks_exact(self.cols)
+            .map(|cols| cols.iter().map(|&i| Amps::new(i)).collect())
             .collect()
+    }
+
+    /// The primitive behind [`Crossbar::mac_currents_batch`]: a
+    /// row-major slab of drive voltages (`rows` volts per sample) in,
+    /// the row-major slab of source-line currents (`cols` amps per
+    /// sample) written to `out`, in one blocked pass.
+    pub(crate) fn mac_slab_into(&self, v: &[f64], out: &mut [f64]) {
+        self.conductance_snapshot().mac_batch_into(v, out);
+    }
+
+    /// One row-major `f64` slab of a batch of drive vectors.
+    fn drive_slab<V: AsRef<[Volts]>>(&self, v_batch: &[V]) -> Vec<f64> {
+        let mut slab = Vec::with_capacity(v_batch.len() * self.rows);
+        for v in v_batch {
+            let v = v.as_ref();
+            assert_eq!(v.len(), self.rows, "need one voltage per row");
+            slab.extend(v.iter().map(|x| x.volts()));
+        }
+        slab
     }
 
     /// Reference implementation of [`Crossbar::mac_currents`] that
@@ -579,26 +591,29 @@ impl Crossbar {
     }
 
     /// Batched [`Crossbar::array_energy`]: integration-window energies
-    /// for a micro-batch of drive vectors with each conductance row
-    /// loaded once per batch. Per sample bit-identical to the
-    /// single-vector method (same `(r, c)` scalar accumulation order).
+    /// for a micro-batch of drive vectors from one conductance
+    /// snapshot. Per sample bit-identical to the single-vector method
+    /// (same `(r, c)` scalar accumulation order).
     ///
     /// # Panics
     ///
     /// Panics if any sample's length differs from `rows`.
     #[must_use]
-    pub fn array_energy_batch(&self, v_batch: &[Vec<Volts>], t_integrate: Seconds) -> Vec<Joules> {
-        for v in v_batch {
-            assert_eq!(v.len(), self.rows, "need one voltage per row");
-        }
+    pub fn array_energy_batch<V: AsRef<[Volts]>>(
+        &self,
+        v_batch: &[V],
+        t_integrate: Seconds,
+    ) -> Vec<Joules> {
+        let v2: Vec<f64> = self.drive_slab(v_batch).iter().map(|v| v * v).collect();
+        self.energy_slab(&v2, t_integrate)
+    }
+
+    /// The primitive behind [`Crossbar::array_energy_batch`], on a
+    /// row-major slab of *squared* drive voltages (`rows` per sample).
+    pub(crate) fn energy_slab(&self, v2: &[f64], t_integrate: Seconds) -> Vec<Joules> {
         let snap = self.conductance_snapshot();
-        let v2s: Vec<Vec<f64>> = v_batch
-            .iter()
-            .map(|v| v.iter().map(|x| x.volts() * x.volts()).collect())
-            .collect();
-        snap.weighted_cell_sum_batch(&v2s)
-            .into_iter()
-            .map(|p| Joules::new(p * t_integrate.seconds()))
+        v2.chunks_exact(self.rows)
+            .map(|v2| Joules::new(snap.weighted_cell_sum(v2) * t_integrate.seconds()))
             .collect()
     }
 

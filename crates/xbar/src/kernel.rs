@@ -19,7 +19,7 @@
 //!   8-wide hardware accumulators — independent dependency chains the
 //!   autovectorizer can schedule), instead of a load/add/store against
 //!   the output vector for every `(row, column)` pair.
-//! * **Batch amortization.** [`ConductanceKernel::mac_batch`] streams
+//! * **Batch amortization.** [`ConductanceKernel::mac_batch_into`] streams
 //!   each panel row — one cache line of conductances — exactly once
 //!   per *batch* of input vectors, so a micro-batch of B matvecs pays
 //!   one pass over the conductance matrix instead of B.
@@ -188,8 +188,8 @@ impl ConductanceKernel {
     }
 
     /// Batched GEMM: one panel-blocked pass over the conductance
-    /// matrix computes `outs[s][c] = Σ_r vs[s][r] · G_eff(r, c)` for
-    /// every sample `s`.
+    /// matrix computes `outs[s · cols + c] = Σ_r vs[s · rows + r] ·
+    /// G_eff(r, c)` for every sample `s` of the row-major slab `vs`.
     ///
     /// Panels are the outer loop and samples the middle loop, so one
     /// panel (`rows × PANEL` f64 — cache-resident) is swept by the
@@ -203,24 +203,28 @@ impl ConductanceKernel {
     ///
     /// # Panics
     ///
-    /// Panics if any `vs[s].len() != rows`.
-    #[must_use]
-    pub fn mac_batch(&self, vs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        for v in vs {
-            assert_eq!(v.len(), self.rows, "need one input per row");
-        }
-        let mut outs = vec![vec![0.0f64; self.cols]; vs.len()];
+    /// Panics if `vs` is not a whole number of `rows`-long samples or
+    /// `outs` does not hold `cols` outputs per sample.
+    pub fn mac_batch_into(&self, vs: &[f64], outs: &mut [f64]) {
+        assert_eq!(vs.len() % self.rows, 0, "need one input per row");
+        assert_eq!(
+            outs.len(),
+            vs.len() / self.rows * self.cols,
+            "need one output per column"
+        );
         let stride = self.rows * PANEL;
         for p in 0..self.panels {
             let panel = &self.data[p * stride..(p + 1) * stride];
             let c0 = p * PANEL;
             let n = PANEL.min(self.cols - c0);
-            for (v, out) in vs.iter().zip(outs.iter_mut()) {
+            for (v, out) in vs
+                .chunks_exact(self.rows)
+                .zip(outs.chunks_exact_mut(self.cols))
+            {
                 let acc = sweep_panel(panel, v);
                 out[c0..c0 + n].copy_from_slice(&acc[..n]);
             }
         }
-        outs
     }
 
     /// Row-weighted sum over every cell:
@@ -251,41 +255,6 @@ impl ConductanceKernel {
             }
         }
         total
-    }
-
-    /// Batched [`weighted_cell_sum`](Self::weighted_cell_sum): each
-    /// panel row is loaded once per batch, each sample keeps its own
-    /// scalar accumulator in `(r, c)` order — per sample bit-identical
-    /// to the single-vector method.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `w_rows[s].len() != rows`.
-    #[must_use]
-    pub fn weighted_cell_sum_batch(&self, w_rows: &[Vec<f64>]) -> Vec<f64> {
-        for w in w_rows {
-            assert_eq!(w.len(), self.rows, "need one weight per row");
-        }
-        let stride = self.rows * PANEL;
-        let mut totals = vec![0.0f64; w_rows.len()];
-        for r in 0..self.rows {
-            for p in 0..self.panels {
-                let n = PANEL.min(self.cols - p * PANEL);
-                let g = &self.data[p * stride + r * PANEL..p * stride + r * PANEL + n];
-                for (total, w) in totals.iter_mut().zip(w_rows) {
-                    let wr = w[r];
-                    if wr == 0.0 {
-                        continue;
-                    }
-                    let mut t = *total;
-                    for gi in g {
-                        t += wr * gi;
-                    }
-                    *total = t;
-                }
-            }
-        }
-        totals
     }
 
     /// Sum of one column's effective conductances, accumulated in
@@ -376,14 +345,14 @@ mod tests {
         let k = ConductanceKernel::build(rows, cols, g);
         for b in [0usize, 1, 2, 5, 16] {
             let vs: Vec<Vec<f64>> = (0..b).map(|s| input(rows, s)).collect();
-            let got = k.mac_batch(&vs);
-            assert_eq!(got.len(), b);
+            let mut got = vec![0.0f64; b * cols];
+            k.mac_batch_into(&vs.concat(), &mut got);
             for (s, v) in vs.iter().enumerate() {
                 let mut want = vec![0.0f64; cols];
                 k.mac_into(v, &mut want);
                 for c in 0..cols {
                     assert_eq!(
-                        got[s][c].to_bits(),
+                        got[s * cols + c].to_bits(),
                         want[c].to_bits(),
                         "batch {b} sample {s} col {c}"
                     );
@@ -415,16 +384,6 @@ mod tests {
             }
         }
         assert_eq!(k.weighted_cell_sum(&w).to_bits(), want.to_bits());
-        // Batched variant: per sample bit-identical to single calls.
-        let ws: Vec<Vec<f64>> = (0..4).map(|s| input(rows, s)).collect();
-        let batch = k.weighted_cell_sum_batch(&ws);
-        for (s, w) in ws.iter().enumerate() {
-            assert_eq!(
-                batch[s].to_bits(),
-                k.weighted_cell_sum(w).to_bits(),
-                "sample {s}"
-            );
-        }
     }
 
     #[test]

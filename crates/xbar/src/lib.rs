@@ -35,7 +35,7 @@ pub mod quant;
 pub mod spec;
 
 pub use chaos::{GuardConfig, ScrubReport};
-pub use cim_macro::{CimMacro, WeightPolarity};
+pub use cim_macro::CimMacro;
 pub use crossbar::{ConductanceSnapshot, Crossbar, OutOfSpares};
 pub use ir_drop::IrDropModel;
 pub use kernel::ConductanceKernel;

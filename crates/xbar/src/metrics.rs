@@ -21,7 +21,8 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct MacroStats {
-    /// Physical conversions performed (one per phase).
+    /// Readouts performed: one per matvec sample, however many
+    /// integration phases it took.
     pub conversions: u64,
     /// MAC operations performed (dense count: `2 × rows × cols` per
     /// conversion).

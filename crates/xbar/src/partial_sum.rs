@@ -47,9 +47,8 @@ impl PartialSumAdder {
     ///
     /// Panics if the parts have unequal lengths.
     pub fn sum(&mut self, parts: &[Vec<f32>]) -> Vec<f32> {
-        let refs: Vec<&[f32]> = parts.iter().map(Vec::as_slice).collect();
         let mut out = Vec::new();
-        self.sum_into(&refs, &mut out);
+        self.sum_into(parts, &mut out);
         out
     }
 
@@ -58,24 +57,31 @@ impl PartialSumAdder {
     /// owned `Vec`s) into `out`, which is cleared and reused.
     ///
     /// The accumulation order is the fixed left fold `((p₀+p₁)+p₂)+…`
-    /// in slice order — identical to [`PartialSumAdder::sum`], which is
-    /// what makes distributed scatter-gather reductions bit-compatible
-    /// with the in-process tiled path. Energy/adds accounting is the
-    /// same as `sum` on the same parts: `(parts.len()−1) · n` scalar
-    /// additions; a single part is an identity copy and free.
+    /// in iteration order — identical to [`PartialSumAdder::sum`], which
+    /// is what makes distributed scatter-gather reductions
+    /// bit-compatible with the in-process tiled path. Energy/adds
+    /// accounting is the same as `sum` on the same parts:
+    /// `(parts−1) · n` scalar additions; a single part is an identity
+    /// copy and free.
     ///
     /// # Panics
     ///
     /// Panics if the parts have unequal lengths.
-    pub fn sum_into(&mut self, parts: &[&[f32]], out: &mut Vec<f32>) {
+    pub fn sum_into<I>(&mut self, parts: I, out: &mut Vec<f32>)
+    where
+        I: IntoIterator,
+        I::Item: AsRef<[f32]>,
+    {
         out.clear();
-        let Some(first) = parts.first() else {
+        let mut parts = parts.into_iter();
+        let Some(first) = parts.next() else {
             return;
         };
-        out.extend_from_slice(first);
-        for part in &parts[1..] {
+        out.extend_from_slice(first.as_ref());
+        for part in parts {
+            let part = part.as_ref();
             assert_eq!(part.len(), out.len(), "partial sums must have equal length");
-            for (a, p) in out.iter_mut().zip(*part) {
+            for (a, p) in out.iter_mut().zip(part) {
                 *a += *p;
             }
             self.adds += out.len() as u64;
@@ -166,7 +172,7 @@ mod tests {
     fn sum_into_reuses_buffer_and_handles_empty_and_single() {
         let mut adder = PartialSumAdder::new();
         let mut out = vec![1.0f32, 2.0];
-        adder.sum_into(&[], &mut out);
+        adder.sum_into(&[] as &[&[f32]], &mut out);
         assert!(out.is_empty(), "empty parts clear the buffer");
         adder.sum_into(&[&[3.0, 4.0][..]], &mut out);
         assert_eq!(out, vec![3.0, 4.0]);
